@@ -27,70 +27,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-/// CRC-32 (IEEE 802.3, reflected) lookup table, built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-};
-
-/// CRC-32 (IEEE) of `bytes` — the per-message integrity trailer. Detects
-/// every single-byte corruption and every burst shorter than 32 bits.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut h = Crc32::new();
-    h.update(bytes);
-    h.finalize()
-}
-
-/// Streaming CRC-32 (IEEE) hasher: feed message bytes in pieces and
-/// [`Crc32::finalize`] when done. `crc32(b)` equals
-/// `Crc32::new().update(b).finalize()` for any split of `b` — the reactor
-/// reply path uses this to seal a per-request sub-frame (header bytes
-/// plus a record slice of the shared batch buffer) without first
-/// concatenating the two spans.
-#[derive(Copy, Clone, Debug)]
-pub struct Crc32(u32);
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Crc32 {
-    /// Start a fresh checksum.
-    pub fn new() -> Self {
-        Crc32(!0)
-    }
-
-    /// Absorb `bytes`.
-    pub fn update(&mut self, bytes: &[u8]) {
-        let mut crc = self.0;
-        for &b in bytes {
-            crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-        }
-        self.0 = crc;
-    }
-
-    /// The CRC-32 of everything absorbed so far.
-    pub fn finalize(self) -> u32 {
-        !self.0
-    }
-}
+pub use simdht_simd::crc::{crc32, Crc32};
 
 /// Append the CRC trailer to a finished message body.
 fn seal(mut b: BytesMut) -> Bytes {
@@ -1183,20 +1120,54 @@ mod tests {
     fn every_single_byte_corruption_is_detected() {
         // CRC-32 detects all single-byte errors: flip every byte of an
         // encoded message (including the trailer itself) through every
-        // nonzero XOR of its low bits and assert rejection.
-        let full = Request::MGet {
+        // nonzero XOR of its low bits and assert rejection. A two-key
+        // request stays under the folding kernel's 64-byte blocks; a
+        // 96-key MGet request (~2.1 KB) and its sealed reply (~2.7 KB,
+        // one key in four missing) run through them.
+        use crate::index::Memc3Index;
+        use crate::store::{KvStore, MGetResponse, StoreConfig};
+        let small = Request::MGet {
             id: 77,
             keys: vec![Bytes::from_static(b"alpha"), Bytes::from_static(b"bb")],
         }
         .encode();
-        for pos in 0..full.len() {
-            for mask in [0x01u8, 0x80, 0xFF] {
-                let mut bytes = full.to_vec();
-                bytes[pos] ^= mask;
-                assert!(
-                    Request::decode(Bytes::from(bytes)).is_err(),
-                    "corruption at {pos} (xor {mask:#x}) must be rejected"
-                );
+        let keys: Vec<Bytes> = (0..96)
+            .map(|i| Bytes::from(format!("corrupt-probe-{i:06}")))
+            .collect();
+        let wide = Request::MGet {
+            id: 78,
+            keys: keys.clone(),
+        }
+        .encode();
+        let store = KvStore::new(
+            Box::new(Memc3Index::with_capacity(256)),
+            StoreConfig::default(),
+        );
+        for (i, key) in keys.iter().enumerate().filter(|(i, _)| i % 4 != 3) {
+            store.set(key, &[i as u8; 32]).unwrap();
+        }
+        let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_ref()).collect();
+        let mut resp = MGetResponse::new();
+        store.mget(&refs, &mut resp);
+        let reply = Bytes::copy_from_slice(resp.seal_frame(78));
+        assert_eq!((wide.len(), reply.len()), (2127, 2703));
+
+        let request = |b: Bytes| Request::decode(b).is_ok();
+        let response = |b: Bytes| Response::decode(b).is_ok();
+        let cases: [(Bytes, &dyn Fn(Bytes) -> bool); 3] =
+            [(small, &request), (wide, &request), (reply, &response)];
+        for (full, decodes) in cases {
+            assert!(decodes(full.clone()), "intact {}-byte message", full.len());
+            for pos in 0..full.len() {
+                for mask in [0x01u8, 0x80, 0xFF] {
+                    let mut bytes = full.to_vec();
+                    bytes[pos] ^= mask;
+                    assert!(
+                        !decodes(Bytes::from(bytes)),
+                        "corruption at {pos} of {} (xor {mask:#x}) must be rejected",
+                        full.len()
+                    );
+                }
             }
         }
     }

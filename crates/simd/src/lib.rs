@@ -14,6 +14,11 @@
 //!   AVX2 / AVX-512 intrinsic backends for `u16`/`u32`/`u64` lanes,
 //!   compiled in when the build targets a capable CPU.
 //!
+//! Two fixed-purpose kernels sit beside the templates: [`scan`] (bucket-row
+//! tag and occupancy movemasks) and [`crc`] (the CRC-32 trailer of the
+//! key-value wire protocol, folded with carry-less multiplies where the
+//! running CPU has them).
+//!
 //! Lookup kernels in `simdht-core` are written once against [`Vector`] and
 //! monomorphized per backend; [`CpuFeatures`] reports which intrinsic widths
 //! the running CPU (and the current build) actually supports, which is what
@@ -38,6 +43,7 @@
 
 #![warn(missing_docs)]
 
+pub mod crc;
 pub mod emu;
 mod lane;
 pub mod scan;
