@@ -304,6 +304,15 @@ impl F14LocalIndex {
         }
         None
     }
+
+    /// `(tag, entry word)` of every slot in index order, for the placement
+    /// fingerprint tests.
+    #[cfg(test)]
+    pub(super) fn slot_dump(&self) -> Vec<(u8, u64)> {
+        (0..self.buckets.len() * SLOTS)
+            .map(|i| (self.tag_of(i), self.entry_of(i)))
+            .collect()
+    }
 }
 
 impl HashIndex for F14LocalIndex {

@@ -284,6 +284,19 @@ impl Memc3Index {
         }
         None
     }
+
+    /// `(tag, entry word)` of every slot in index order, for the placement
+    /// fingerprint tests.
+    #[cfg(test)]
+    pub(super) fn slot_dump(&self) -> Vec<(u8, u64)> {
+        self.slots
+            .iter()
+            .map(|w| {
+                let w = w.load(Ordering::Relaxed);
+                ((w >> 32) as u8, w)
+            })
+            .collect()
+    }
 }
 
 impl HashIndex for Memc3Index {

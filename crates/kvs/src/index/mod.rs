@@ -346,6 +346,55 @@ mod tests {
         }
     }
 
+    /// Run a seeded history that forces deep BFS relocations — fill with
+    /// `hash_key(i)` until `Full`, remove every third key, insert 500 more —
+    /// and digest `(slot index, tag, entry word)` of every slot plus
+    /// `len()`. The constants below were recorded before the tagged
+    /// backends shared one cuckoo core: any change to where an insert or a
+    /// relocation puts an entry changes the digest.
+    fn placement_fingerprint<I: HashIndex>(
+        mut idx: I,
+        dump: impl Fn(&I) -> Vec<(u8, u64)>,
+    ) -> (usize, u64) {
+        let key = |i: u32| hash_key(&i.to_le_bytes());
+        let mut n = 0u32;
+        while idx.insert(key(n), n).is_ok() {
+            n += 1;
+        }
+        for i in (0..n).step_by(3) {
+            idx.remove(key(i), i);
+        }
+        for i in n..n + 500 {
+            idx.insert(key(i), i).expect("room after removals");
+        }
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for (i, (tag, entry)) in dump(&idx).into_iter().enumerate() {
+            for x in [i as u64, u64::from(tag), entry] {
+                digest = (digest.rotate_left(5) ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            }
+        }
+        (idx.len(), digest)
+    }
+
+    #[test]
+    fn memc3_placement_fingerprint() {
+        let got = placement_fingerprint(Memc3Index::with_capacity(4000), Memc3Index::slot_dump);
+        assert_eq!(got, (5946, 5_672_404_369_060_187_872));
+    }
+
+    #[test]
+    fn dpdk_placement_fingerprint() {
+        let got = placement_fingerprint(TagSimdIndex::with_capacity(4000), TagSimdIndex::slot_dump);
+        assert_eq!(got, (5944, 231_161_573_626_329_223));
+    }
+
+    #[test]
+    fn local_placement_fingerprint() {
+        let got =
+            placement_fingerprint(F14LocalIndex::with_capacity(4000), F14LocalIndex::slot_dump);
+        assert_eq!(got, (5267, 10_536_498_036_185_275_675));
+    }
+
     #[test]
     fn miss_sentinel_is_item_sentinel() {
         assert_eq!(MISS, NO_ITEM);

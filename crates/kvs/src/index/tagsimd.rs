@@ -243,6 +243,15 @@ impl TagSimdIndex {
         }
         None
     }
+
+    /// `(tag, entry word)` of every slot in index order, for the placement
+    /// fingerprint tests.
+    #[cfg(test)]
+    pub(super) fn slot_dump(&self) -> Vec<(u8, u64)> {
+        (0..self.items.len())
+            .map(|i| (self.sig_of(i), u64::from(self.item_of(i))))
+            .collect()
+    }
 }
 
 impl HashIndex for TagSimdIndex {
