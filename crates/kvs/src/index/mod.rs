@@ -2,8 +2,8 @@
 //!
 //! The paper's server data-access phase (§VI-A step 2) probes a hash table
 //! mapping a 32-bit key hash to a payload that locates the full key-value
-//! object. Three index families are provided, matching the paper's Fig. 11
-//! comparison:
+//! object. Five indexes are provided, matching the paper's Fig. 11
+//! comparison and the remaining Table I rows:
 //!
 //! * [`Memc3Index`] — the non-SIMD CPU-optimized baseline: (2,4) BCHT with
 //!   8-bit tags, partial-key cuckoo relocation, and optimistic per-bucket
@@ -19,7 +19,11 @@
 //! * [`F14LocalIndex`] — a Folly-F14-style *localized-SIMD* (2,7) BCHT
 //!   whose tag row and entries share one 64-byte cache line, so a find_hit
 //!   touches a single line and a find_miss rejects 7 candidates per line
-//!   (the third point on the indirect/direct SIMD curve; ROADMAP item 2).
+//!   (the third point on the indirect/direct SIMD curve).
+//!
+//! The three tagged indexes are one partial-key cuckoo core, [`TagCuckoo`],
+//! instantiated with three bucket layouts (DESIGN.md §12); `SimdIndex`
+//! stores full hashes through `simdht-table`.
 //!
 //! Because the index keys are *hashes*, distinct application keys can
 //! collide; the store always verifies the full key against the slab after a
@@ -29,11 +33,13 @@
 mod local;
 mod memc3;
 mod simd;
+mod tagcuckoo;
 mod tagsimd;
 
 pub use local::F14LocalIndex;
 pub use memc3::Memc3Index;
 pub use simd::{SimdIndex, SimdIndexKind};
+pub use tagcuckoo::TagCuckoo;
 pub use tagsimd::TagSimdIndex;
 
 /// Error from [`HashIndex::insert`].
@@ -393,6 +399,29 @@ mod tests {
         let got =
             placement_fingerprint(F14LocalIndex::with_capacity(4000), F14LocalIndex::slot_dump);
         assert_eq!(got, (5267, 10_536_498_036_185_275_675));
+    }
+
+    /// The AMAC pipeline and the racy-probe entry point answer exactly
+    /// what the plain batch does, at every depth, on every backend.
+    #[test]
+    fn prefetched_and_optimistic_match_plain_batch() {
+        for name in ["memc3", "hor", "ver", "dpdk", "local"] {
+            let mut idx = by_short_name(name, 3000).expect("known index");
+            for i in 0..2500u32 {
+                idx.insert(hash_key(&i.to_le_bytes()), i).unwrap();
+            }
+            let hashes: Vec<u32> = (0..4000u32).map(|i| hash_key(&i.to_le_bytes())).collect();
+            let mut plain = vec![0u32; hashes.len()];
+            idx.lookup_batch(&hashes, &mut plain);
+            for depth in [0usize, 1, 4, 16, 5000] {
+                let mut got = vec![0u32; hashes.len()];
+                idx.lookup_batch_prefetched(&hashes, &mut got, depth);
+                assert_eq!(got, plain, "{name}: prefetched depth {depth}");
+                let mut got = vec![0u32; hashes.len()];
+                idx.lookup_batch_optimistic(&hashes, &mut got, depth);
+                assert_eq!(got, plain, "{name}: optimistic depth {depth}");
+            }
+        }
     }
 
     #[test]

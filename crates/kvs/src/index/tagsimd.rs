@@ -7,7 +7,8 @@
 //! reproduces that design over the store's 32-bit key hashes:
 //!
 //! * layout: (2,8) BCHT, partial-key cuckoo relocation (alternate bucket
-//!   derived from the signature, as in MemC3/DPDK);
+//!   derived from the signature, as in MemC3/DPDK) — the shared
+//!   [`TagCuckoo`] core;
 //! * storage: split arrays — one packed `AtomicU64` signature word per
 //!   bucket (slot `s` at bits `8·s`, i.e. little-endian byte `s`) and
 //!   `AtomicU32` item ids — so the signature block is exactly one 64-bit
@@ -24,336 +25,112 @@
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-use super::{HashIndex, IndexError};
+use simdht_simd::scan;
+
+use super::tagcuckoo::{with_byte, BucketLayout, TagCuckoo};
 use crate::item::NO_ITEM;
 
 const SLOTS: usize = 8;
-const MAX_BFS_NODES: usize = 2048;
-
-/// Match mask over one bucket's packed signature word (slot `s` occupies
-/// bits `8·s`, the little-endian byte `s`): one `pcmpeqb` + movemask via
-/// the shared [`simdht_simd::scan`] row scans.
-#[inline(always)]
-fn match_sigs8(word: u64, sig: u8) -> u32 {
-    simdht_simd::scan::eq_mask8(word, sig)
-}
 
 /// The (2,8) signature-SIMD cuckoo index (DPDK `rte_hash` / Cuckoo++ style).
-pub struct TagSimdIndex {
-    /// One packed signature word per bucket; atomic because the store's
-    /// optimistic read path probes these while a writer mutates them.
+pub type TagSimdIndex = TagCuckoo<TagSimdLayout>;
+
+/// DPDK buckets: a signature word per bucket and the item ids on a side
+/// array.
+///
+/// Probes touch only the split `sigs`/`items` arrays — fixed-capacity
+/// since construction and made of atomic words — so racy seqlock probes
+/// dereference nothing non-atomic and nothing a writer could free.
+pub struct TagSimdLayout {
     sigs: Vec<AtomicU64>,
     items: Vec<AtomicU32>,
-    mask: usize,
-    len: usize,
 }
 
-impl std::fmt::Debug for TagSimdIndex {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TagSimdIndex")
-            .field("buckets", &(self.mask + 1))
-            .field("len", &self.len)
-            .finish()
+impl TagSimdLayout {
+    /// Store one slot: its signature byte (a writer-side read-modify-write
+    /// of the shared word, which racy readers see change atomically) and
+    /// its item id.
+    fn set(&self, bucket: usize, s: usize, sig: u8, item: u32) {
+        let word = self.sigs[bucket].load(Ordering::Relaxed);
+        self.sigs[bucket].store(with_byte(word, s, sig), Ordering::Relaxed);
+        self.items[bucket * SLOTS + s].store(item, Ordering::Relaxed);
     }
 }
 
-impl TagSimdIndex {
-    /// Create an index able to hold `capacity_items` at a ~95 % load factor
-    /// (a (2,8) BCHT sustains ≈ 0.98 — paper Fig. 2).
-    pub fn with_capacity(capacity_items: usize) -> Self {
-        let needed_slots = ((capacity_items as f64 / 0.95).ceil() as usize).max(SLOTS);
-        let buckets = (needed_slots / SLOTS + 1).next_power_of_two();
-        TagSimdIndex {
+impl BucketLayout for TagSimdLayout {
+    const SLOTS: usize = SLOTS;
+    /// A (2,8) BCHT sustains ≈ 0.98 (paper Fig. 2).
+    const LOAD_FACTOR: f64 = 0.95;
+    const NAME: &'static str = "TagSimd (2,8) sig-BCHT [SSE, DPDK-style]";
+
+    /// The bucket's packed signature word.
+    type Row = u64;
+
+    fn with_buckets(buckets: usize) -> Self {
+        TagSimdLayout {
             sigs: (0..buckets).map(|_| AtomicU64::new(0)).collect(),
             items: (0..buckets * SLOTS)
                 .map(|_| AtomicU32::new(NO_ITEM))
                 .collect(),
-            mask: buckets - 1,
-            len: 0,
         }
     }
 
-    #[inline(always)]
-    fn sig(hash: u32) -> u8 {
-        let s = (hash >> 24) as u8;
-        if s == 0 {
-            1
-        } else {
-            s
-        }
+    fn pack(_hash: u32, _tag: u8, item: u32) -> u64 {
+        u64::from(item)
     }
 
-    #[inline(always)]
-    fn bucket1(&self, hash: u32) -> usize {
-        hash as usize & self.mask
+    fn load_row(&self, bucket: usize) -> u64 {
+        self.sigs[bucket].load(Ordering::Relaxed)
     }
 
-    #[inline(always)]
-    fn alt_bucket(&self, bucket: usize, sig: u8) -> usize {
-        (bucket ^ ((sig as usize).wrapping_mul(0x5bd1_e995))) & self.mask
+    /// One `pcmpeqb` + movemask. Empty slots hold signature 0 (`clear`
+    /// zeroes the byte, so `sig == 0 ⟺ empty`) while live signatures are
+    /// `>= 1`, so the match mask needs no separate occupancy pass.
+    fn matches(row: &u64, tag: u8) -> u32 {
+        scan::eq_mask8(*row, tag)
     }
 
-    /// Signature of slot `idx` (read from its bucket's packed word).
-    #[inline(always)]
-    fn sig_of(&self, idx: usize) -> u8 {
-        let word = self.sigs[idx / SLOTS].load(Ordering::Relaxed);
-        (word >> (8 * (idx % SLOTS))) as u8
+    /// The SIMD occupancy scan: one zero-byte movemask over the signature
+    /// word.
+    fn empties(row: &u64) -> u32 {
+        scan::zero_mask8(*row)
     }
 
-    /// Item id stored in slot `idx`.
-    #[inline(always)]
-    fn item_of(&self, idx: usize) -> u32 {
-        self.items[idx].load(Ordering::Relaxed)
+    fn tag_in(row: &u64, s: usize) -> u8 {
+        (row >> (8 * s)) as u8
     }
 
-    /// Overwrite slot `idx` with `(sig, item)`. Requires `&mut self`, so
-    /// the relaxed read-modify-write of the shared signature word never
-    /// races another writer; racy readers see each word change atomically.
-    fn write_entry(&mut self, idx: usize, sig: u8, item: u32) {
-        let shift = 8 * (idx % SLOTS);
-        let word = self.sigs[idx / SLOTS].load(Ordering::Relaxed);
-        self.sigs[idx / SLOTS].store(
-            (word & !(0xFFu64 << shift)) | ((sig as u64) << shift),
-            Ordering::Relaxed,
-        );
-        self.items[idx].store(item, Ordering::Relaxed);
+    fn entry(&self, bucket: usize, _row: &u64, s: usize) -> u64 {
+        u64::from(self.items[bucket * SLOTS + s].load(Ordering::Relaxed))
     }
 
-    /// SIMD probe of one bucket. Empty slots hold signature 0
-    /// ([`TagSimdIndex::remove`] clears the byte, so `sig == 0 ⟺ empty`)
-    /// while live signatures are `>= 1`, so the match mask needs no
-    /// separate occupancy pass.
-    #[inline(always)]
-    fn probe_bucket(&self, bucket: usize, sig: u8) -> u32 {
-        debug_assert_ne!(sig, 0);
-        match_sigs8(self.sigs[bucket].load(Ordering::Relaxed), sig)
+    fn write(&mut self, bucket: usize, s: usize, tag: u8, entry: u64) {
+        self.set(bucket, s, tag, entry as u32);
     }
 
-    /// Probe both candidate buckets for `hash`, returning the first
-    /// signature-matching occupied item id (or [`NO_ITEM`]).
-    #[inline(always)]
-    fn probe_one(&self, hash: u32) -> u32 {
-        let sig = Self::sig(hash);
-        let b1 = self.bucket1(hash);
-        let b2 = self.alt_bucket(b1, sig);
-        for b in [b1, b2] {
-            let m = self.probe_bucket(b, sig);
-            if m != 0 {
-                return self.item_of(b * SLOTS + m.trailing_zeros() as usize);
-            }
-            if b1 == b2 {
-                break;
-            }
-        }
-        NO_ITEM
+    fn clear(&mut self, bucket: usize, s: usize) {
+        self.set(bucket, s, 0, NO_ITEM);
     }
 
-    /// Request the cache lines a future [`TagSimdIndex::probe_one`] of
-    /// `hash` will touch: both buckets' signature blocks and item arrays
-    /// (split storage — two distinct lines per bucket).
-    #[inline(always)]
-    fn prefetch_buckets(&self, hash: u32) {
-        let sig = Self::sig(hash);
-        let b1 = self.bucket1(hash);
-        let b2 = self.alt_bucket(b1, sig);
-        simdht_simd::prefetch_read(&self.sigs[b1]);
-        simdht_simd::prefetch_read(&self.items[b1 * SLOTS]);
-        simdht_simd::prefetch_read(&self.sigs[b2]);
-        simdht_simd::prefetch_read(&self.items[b2 * SLOTS]);
-    }
-
-    fn find_slot(&self, hash: u32, item: u32) -> Option<usize> {
-        let sig = Self::sig(hash);
-        let b1 = self.bucket1(hash);
-        let b2 = self.alt_bucket(b1, sig);
-        for b in [b1, b2] {
-            let mut m = self.probe_bucket(b, sig);
-            while m != 0 {
-                let slot = b * SLOTS + m.trailing_zeros() as usize;
-                if self.item_of(slot) == item {
-                    return Some(slot);
-                }
-                m &= m - 1;
-            }
-            if b1 == b2 {
-                break;
-            }
-        }
-        None
-    }
-
-    /// First empty slot of `bucket` — the SIMD occupancy scan: one zero-
-    /// byte movemask over the signature word (`sig == 0 ⟺ empty`), with
-    /// `trailing_zeros` giving the same left-to-right slot the scalar walk
-    /// over the item array picked (ROADMAP item 3).
-    fn empty_in(&self, bucket: usize) -> Option<usize> {
-        let m = simdht_simd::scan::zero_mask8(self.sigs[bucket].load(Ordering::Relaxed));
-        if m == 0 {
-            None
-        } else {
-            Some(bucket * SLOTS + m.trailing_zeros() as usize)
-        }
-    }
-
-    fn find_path(&self, b1: usize, b2: usize) -> Option<Vec<usize>> {
-        struct Node {
-            idx: usize,
-            parent: usize,
-        }
-        let mut nodes: Vec<Node> = Vec::with_capacity(128);
-        let mut seen = std::collections::HashSet::new();
-        for b in [b1, b2] {
-            if seen.insert(b) {
-                for s in 0..SLOTS {
-                    nodes.push(Node {
-                        idx: b * SLOTS + s,
-                        parent: usize::MAX,
-                    });
-                }
-            }
-        }
-        let mut head = 0;
-        while head < nodes.len() && nodes.len() < MAX_BFS_NODES {
-            let idx = nodes[head].idx;
-            debug_assert_ne!(self.item_of(idx), NO_ITEM);
-            let cur_bucket = idx / SLOTS;
-            let alt = self.alt_bucket(cur_bucket, self.sig_of(idx));
-            if seen.insert(alt) {
-                if let Some(free) = self.empty_in(alt) {
-                    let mut path = vec![free];
-                    let mut at = head;
-                    loop {
-                        path.push(nodes[at].idx);
-                        if nodes[at].parent == usize::MAX {
-                            break;
-                        }
-                        at = nodes[at].parent;
-                    }
-                    path.reverse();
-                    return Some(path);
-                }
-                for s in 0..SLOTS {
-                    nodes.push(Node {
-                        idx: alt * SLOTS + s,
-                        parent: head,
-                    });
-                }
-            }
-            head += 1;
-        }
-        None
-    }
-
-    /// `(tag, entry word)` of every slot in index order, for the placement
-    /// fingerprint tests.
-    #[cfg(test)]
-    pub(super) fn slot_dump(&self) -> Vec<(u8, u64)> {
-        (0..self.items.len())
-            .map(|i| (self.sig_of(i), u64::from(self.item_of(i))))
-            .collect()
-    }
-}
-
-impl HashIndex for TagSimdIndex {
-    fn name(&self) -> &'static str {
-        "TagSimd (2,8) sig-BCHT [SSE, DPDK-style]"
-    }
-
-    fn insert(&mut self, hash: u32, item: u32) -> Result<(), IndexError> {
-        let sig = Self::sig(hash);
-        let b1 = self.bucket1(hash);
-        let b2 = self.alt_bucket(b1, sig);
-        if let Some(slot) = self.find_slot(hash, item) {
-            self.write_entry(slot, sig, item);
-            return Ok(());
-        }
-        for b in [b1, b2] {
-            if let Some(slot) = self.empty_in(b) {
-                self.write_entry(slot, sig, item);
-                self.len += 1;
-                return Ok(());
-            }
-        }
-        let path = self.find_path(b1, b2).ok_or(IndexError::Full)?;
-        for w in (1..path.len()).rev() {
-            let from = path[w - 1];
-            let (s, it) = (self.sig_of(from), self.item_of(from));
-            self.write_entry(path[w], s, it);
-        }
-        self.write_entry(path[0], sig, item);
-        self.len += 1;
-        Ok(())
-    }
-
-    fn remove(&mut self, hash: u32, item: u32) {
-        if let Some(slot) = self.find_slot(hash, item) {
-            // Clear the signature byte too: `sig == 0 ⟺ empty` is what
-            // lets the probe and occupancy scans run off the packed word
-            // alone.
-            let shift = 8 * (slot % SLOTS);
-            let word = self.sigs[slot / SLOTS].load(Ordering::Relaxed);
-            self.sigs[slot / SLOTS].store(word & !(0xFFu64 << shift), Ordering::Relaxed);
-            self.items[slot].store(NO_ITEM, Ordering::Relaxed);
-            self.len -= 1;
-        }
-    }
-
-    fn lookup_batch(&self, hashes: &[u32], out: &mut [u32]) {
-        assert_eq!(hashes.len(), out.len(), "output slice length mismatch");
-        for (h, o) in hashes.iter().zip(out.iter_mut()) {
-            *o = self.probe_one(*h);
-        }
-    }
-
-    fn probe_first(&self, hash: u32) -> u32 {
-        self.probe_one(hash)
-    }
-
-    fn prefetch_hash(&self, hash: u32) {
-        self.prefetch_buckets(hash);
-    }
-
-    fn lookup_all(&self, hash: u32, out: &mut Vec<u32>) {
-        let sig = Self::sig(hash);
-        let b1 = self.bucket1(hash);
-        let b2 = self.alt_bucket(b1, sig);
-        for b in [b1, b2] {
-            let mut m = self.probe_bucket(b, sig);
-            while m != 0 {
-                out.push(self.item_of(b * SLOTS + m.trailing_zeros() as usize));
-                m &= m - 1;
-            }
-            if b1 == b2 {
-                break;
-            }
-        }
-    }
-
-    // Probes touch only the split `sigs`/`items` arrays — fixed-capacity
-    // since construction and made of atomic words — so racy seqlock
-    // probes dereference nothing non-atomic and nothing a writer could
-    // free.
-    fn optimistic_probe_safe(&self) -> bool {
-        true
-    }
-
-    fn len(&self) -> usize {
-        self.len
+    /// Split storage: two distinct lines per bucket.
+    fn prefetch(&self, bucket: usize) {
+        simdht_simd::prefetch_read(&self.sigs[bucket]);
+        simdht_simd::prefetch_read(&self.items[bucket * SLOTS]);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::hash_key;
+    use crate::index::{hash_key, HashIndex};
 
     #[test]
     fn sig_matcher_semantics() {
         // Slot s is little-endian byte s of the packed word.
         let word = u64::from_le_bytes([9u8, 3, 9, 0, 9, 9, 1, 2]);
-        assert_eq!(match_sigs8(word, 9), 0b0011_0101);
-        assert_eq!(match_sigs8(word, 7), 0);
-        assert_eq!(match_sigs8(word, 2), 0b1000_0000);
+        assert_eq!(TagSimdLayout::matches(&word, 9), 0b0011_0101);
+        assert_eq!(TagSimdLayout::matches(&word, 7), 0);
+        assert_eq!(TagSimdLayout::matches(&word, 2), 0b1000_0000);
     }
 
     /// The SIMD occupancy scan over the signature word picks exactly the
@@ -364,7 +141,7 @@ mod tests {
         let scalar_walk = |idx: &TagSimdIndex, bucket: usize| -> Option<usize> {
             (0..SLOTS)
                 .map(|s| bucket * SLOTS + s)
-                .find(|&i| idx.item_of(i) == NO_ITEM)
+                .find(|&i| idx.slot(i).1 as u32 == NO_ITEM)
         };
         let mut idx = TagSimdIndex::with_capacity(2000);
         let mut state = 0xD9D7_0001u64;
@@ -386,90 +163,5 @@ mod tests {
                 assert_eq!(idx.empty_in(b), scalar_walk(&idx, b), "bucket {b}");
             }
         }
-    }
-
-    #[test]
-    fn insert_lookup_roundtrip() {
-        let mut idx = TagSimdIndex::with_capacity(2000);
-        for i in 0..1500u32 {
-            idx.insert(hash_key(&i.to_le_bytes()), i).unwrap();
-        }
-        assert_eq!(idx.len(), 1500);
-        for i in 0..1500u32 {
-            let h = hash_key(&i.to_le_bytes());
-            let mut all = vec![];
-            idx.lookup_all(h, &mut all);
-            assert!(all.contains(&i), "item {i} unreachable");
-        }
-    }
-
-    #[test]
-    fn misses_mostly_miss() {
-        let mut idx = TagSimdIndex::with_capacity(200);
-        for i in 0..100u32 {
-            idx.insert(hash_key(&i.to_le_bytes()), i).unwrap();
-        }
-        let hashes: Vec<u32> = (50_000..50_200u32)
-            .map(|i| hash_key(&i.to_le_bytes()))
-            .collect();
-        let mut out = vec![0u32; hashes.len()];
-        idx.lookup_batch(&hashes, &mut out);
-        let misses = out.iter().filter(|&&x| x == NO_ITEM).count();
-        assert!(misses > 180, "only {misses} misses");
-    }
-
-    #[test]
-    fn reaches_high_load_factor() {
-        let mut idx = TagSimdIndex::with_capacity(4000);
-        let capacity = (idx.mask + 1) * SLOTS;
-        let mut n = 0u32;
-        while (n as usize) < capacity && idx.insert(hash_key(&n.to_le_bytes()), n).is_ok() {
-            n += 1;
-        }
-        let lf = n as f64 / capacity as f64;
-        assert!(lf > 0.95, "(2,8) sig index LF only {lf:.3}");
-    }
-
-    #[test]
-    fn remove_and_reuse() {
-        let mut idx = TagSimdIndex::with_capacity(100);
-        let h = hash_key(b"k");
-        idx.insert(h, 5).unwrap();
-        idx.remove(h, 6); // wrong item, no-op
-        assert_eq!(idx.len(), 1);
-        idx.remove(h, 5);
-        assert_eq!(idx.len(), 0);
-        idx.insert(h, 7).unwrap();
-        let mut all = vec![];
-        idx.lookup_all(h, &mut all);
-        assert_eq!(all, [7]);
-    }
-
-    #[test]
-    fn works_as_store_backend() {
-        use crate::store::{KvStore, StoreConfig};
-        let store = KvStore::new(
-            Box::new(TagSimdIndex::with_capacity(5000)),
-            StoreConfig {
-                memory_budget: 8 << 20,
-                capacity_items: 5000,
-                shards: 1,
-                prefetch_depth: None,
-                ..StoreConfig::default()
-            },
-        );
-        for i in 0..3000u32 {
-            store
-                .set(format!("tag-{i}").as_bytes(), &i.to_le_bytes())
-                .unwrap();
-        }
-        for i in (0..3000u32).step_by(11) {
-            assert_eq!(
-                store.get(format!("tag-{i}").as_bytes()).as_deref(),
-                Some(&i.to_le_bytes()[..])
-            );
-        }
-        assert!(store.delete(b"tag-100"));
-        assert_eq!(store.get(b"tag-100"), None);
     }
 }
