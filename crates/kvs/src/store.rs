@@ -1119,7 +1119,7 @@ impl KvStore {
         // restarts at 1 (exactly what a reader that already saw the miss
         // would expect).
         let mut version = 1u64;
-        if let Some(existing) = g.find_verified(hash, key) {
+        if let Some((existing, _)) = g.find_verified(hash, key, &mut Vec::new()) {
             if !is_expired(g.items.expires_at(existing), now) {
                 version = g.items.version(existing).wrapping_add(1);
             }
@@ -1344,7 +1344,7 @@ impl KvStore {
                 return decided;
             }
         }
-        self.get_locked(slot, hash, key)
+        self.get_locked(slot, hash, key).map(|(value, _)| value)
     }
 
     /// Lock-free single-key lookup under the seqlock protocol (DESIGN.md
@@ -1425,46 +1425,29 @@ impl KvStore {
         None
     }
 
-    fn get_locked(&self, slot: &ShardSlot, hash: u32, key: &[u8]) -> Option<Vec<u8>> {
+    /// Single-key read under the shard's shared lock, returning the value
+    /// and its version: the first candidate verified against the slab,
+    /// then the collision slow path ([`Shard::find_verified`]).
+    fn get_locked(&self, slot: &ShardSlot, hash: u32, key: &[u8]) -> Option<(Vec<u8>, u64)> {
         let g = slot.read();
-        let mut cand = [NO_ITEM];
-        g.index.lookup_batch(std::slice::from_ref(&hash), &mut cand);
-        let cand = cand[0];
-        let mut resolved = None;
-        if cand != NO_ITEM {
-            if let Some(r) = g.items.get(cand) {
-                if item_key(g.slab.chunk(r)) == key {
-                    resolved = Some((cand, r));
-                }
-            }
-            if resolved.is_none() {
-                // Tag/hash collision: scan all candidates (MemC3 slow path).
-                let mut fallback = Vec::new();
-                g.index.lookup_all(hash, &mut fallback);
-                for &c in &fallback {
-                    if let Some(r) = g.items.get(c) {
-                        if item_key(g.slab.chunk(r)) == key {
-                            resolved = Some((c, r));
-                            break;
-                        }
-                    }
-                }
-            }
-        }
+        let cand = g.index.probe_first(hash);
+        let resolved = if cand == NO_ITEM {
+            None
+        } else {
+            g.verify(cand, g.items.get(cand), key)
+                .or_else(|| g.find_verified(hash, key, &mut Vec::new()))
+        };
         slot.counters.mget_keys.fetch_add(1, Ordering::Relaxed);
+        let (item, r) = resolved?;
         // Lazy expiry: a resolved but expired item reads as a miss. The
         // shared lock cannot reclaim it; writers and the eviction path do.
-        if let Some((item, _)) = resolved {
-            if is_expired(g.items.expires_at(item), self.now_secs()) {
-                slot.counters.expired.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
+        if is_expired(g.items.expires_at(item), self.now_secs()) {
+            slot.counters.expired.fetch_add(1, Ordering::Relaxed);
+            return None;
         }
-        resolved.map(|(item, r)| {
-            g.clock.touch(item);
-            slot.counters.mget_hits.fetch_add(1, Ordering::Relaxed);
-            item_value(g.slab.chunk(r)).to_vec()
-        })
+        g.clock.touch(item);
+        slot.counters.mget_hits.fetch_add(1, Ordering::Relaxed);
+        Some((item_value(g.slab.chunk(r)).to_vec(), g.items.version(item)))
     }
 
     /// Delete a key; returns `true` if it existed (and had not expired).
@@ -1475,8 +1458,8 @@ impl KvStore {
         let hash = hash_key(key);
         let slot = &self.shards[self.shard_for_hash(hash)];
         let mut g = slot.write();
-        match g.find_verified(hash, key) {
-            Some(item) => {
+        match g.find_verified(hash, key, &mut Vec::new()) {
+            Some((item, _)) => {
                 let expired = is_expired(g.items.expires_at(item), self.now_secs());
                 g.delete_item(hash, item);
                 if expired {
@@ -1514,8 +1497,8 @@ impl KvStore {
         let slot = &self.shards[self.shard_for_hash(hash)];
         let mut g = slot.write();
         let now = self.now_secs();
-        match g.find_verified(hash, key) {
-            Some(item) => {
+        match g.find_verified(hash, key, &mut Vec::new()) {
+            Some((item, _)) => {
                 if is_expired(g.items.expires_at(item), now) {
                     // Reclaim and report absent, like `delete`.
                     g.delete_item(hash, item);
@@ -1543,8 +1526,8 @@ impl KvStore {
         let slot = &self.shards[self.shard_for_hash(hash)];
         let g = slot.write();
         let now = self.now_secs();
-        match g.find_verified(hash, key) {
-            Some(item) => {
+        match g.find_verified(hash, key, &mut Vec::new()) {
+            Some((item, _)) => {
                 if is_expired(g.items.expires_at(item), now) {
                     return false;
                 }
@@ -1572,40 +1555,7 @@ impl KvStore {
     /// section that resolved the item.
     pub fn get_v(&self, key: &[u8]) -> Option<(Vec<u8>, u64)> {
         let hash = hash_key(key);
-        let slot = &self.shards[self.shard_for_hash(hash)];
-        let g = slot.read();
-        let mut cand = [NO_ITEM];
-        g.index.lookup_batch(std::slice::from_ref(&hash), &mut cand);
-        let cand = cand[0];
-        let mut resolved = None;
-        if cand != NO_ITEM {
-            if let Some(r) = g.items.get(cand) {
-                if item_key(g.slab.chunk(r)) == key {
-                    resolved = Some((cand, r));
-                }
-            }
-            if resolved.is_none() {
-                let mut fallback = Vec::new();
-                g.index.lookup_all(hash, &mut fallback);
-                for &c in &fallback {
-                    if let Some(r) = g.items.get(c) {
-                        if item_key(g.slab.chunk(r)) == key {
-                            resolved = Some((c, r));
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        slot.counters.mget_keys.fetch_add(1, Ordering::Relaxed);
-        let (item, r) = resolved?;
-        if is_expired(g.items.expires_at(item), self.now_secs()) {
-            slot.counters.expired.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        g.clock.touch(item);
-        slot.counters.mget_hits.fetch_add(1, Ordering::Relaxed);
-        Some((item_value(g.slab.chunk(r)).to_vec(), g.items.version(item)))
+        self.get_locked(&self.shards[self.shard_for_hash(hash)], hash, key)
     }
 
     /// The batched Multi-Get pipeline with per-phase timing.
@@ -1800,25 +1750,11 @@ impl KvStore {
             } else {
                 None
             };
-            let mut resolved = None;
-            if let Some(r) = slab_ref {
-                if item_key(g.slab.chunk(r)) == key {
-                    resolved = Some((cand, r));
-                }
-            }
+            let mut resolved = g.verify(cand, slab_ref, key);
             if resolved.is_none() && cand != NO_ITEM {
                 // Tag/hash collision: scan all candidates (MemC3 slow
                 // path).
-                fallback.clear();
-                g.index.lookup_all(shard_hashes[j], fallback);
-                for &c in fallback.iter() {
-                    if let Some(r) = g.items.get(c) {
-                        if item_key(g.slab.chunk(r)) == key {
-                            resolved = Some((c, r));
-                            break;
-                        }
-                    }
-                }
+                resolved = g.find_verified(shard_hashes[j], key, fallback);
             }
             // Lazy expiry: resolved-but-expired reads as a miss.
             if let Some((item, _)) = resolved {
@@ -1990,17 +1926,7 @@ impl KvStore {
                         // one key (the rest of the pass stays lock-free).
                         self.optimistic.assists.fetch_add(1, Ordering::Relaxed);
                         let g = slot.read();
-                        fallback.clear();
-                        g.index.lookup_all(shard_hashes[j], fallback);
-                        let mut resolved = None;
-                        for &c in fallback.iter() {
-                            if let Some(r) = g.items.get(c) {
-                                if item_key(g.slab.chunk(r)) == key {
-                                    resolved = Some((c, r));
-                                    break;
-                                }
-                            }
-                        }
+                        let mut resolved = g.find_verified(shard_hashes[j], key, fallback);
                         // The assist holds the shared lock, so the same
                         // lazy-expiry rule as the locked path applies.
                         if let Some((item, _)) = resolved {
@@ -2081,16 +2007,30 @@ impl Shard {
         Some(r)
     }
 
-    /// Find the item id whose stored key equals `key`, verifying against
-    /// the slab (never trusts the index alone).
-    fn find_verified(&self, hash: u32, key: &[u8]) -> Option<u32> {
-        let mut candidates = Vec::new();
-        self.index.lookup_all(hash, &mut candidates);
-        candidates.into_iter().find(|&c| {
-            self.items
-                .get(c)
-                .is_some_and(|r| item_key(self.slab.chunk(r)) == key)
-        })
+    /// `(cand, chunk)` when `cand`'s slab chunk (`chunk`, already resolved
+    /// by the caller) stores exactly `key`.
+    #[inline(always)]
+    fn verify(&self, cand: u32, chunk: Option<SlabRef>, key: &[u8]) -> Option<(u32, SlabRef)> {
+        chunk
+            .filter(|&r| item_key(self.slab.chunk(r)) == key)
+            .map(|r| (cand, r))
+    }
+
+    /// The collision slow path: the item (and its chunk) among all of
+    /// `hash`'s index candidates whose stored key equals `key` — verified
+    /// against the slab, never trusting the index alone. `scratch` holds
+    /// the candidates, so a caller in a loop allocates nothing.
+    fn find_verified(
+        &self,
+        hash: u32,
+        key: &[u8],
+        scratch: &mut Vec<u32>,
+    ) -> Option<(u32, SlabRef)> {
+        scratch.clear();
+        self.index.lookup_all(hash, scratch);
+        scratch
+            .iter()
+            .find_map(|&c| self.verify(c, self.items.get(c), key))
     }
 
     fn delete_item(&mut self, hash: u32, item: u32) {
