@@ -16,9 +16,12 @@
 //! (`READ_MODE`, or both when unset — `get_v` always reads under the
 //! shard lock, but the optimistic mode changes the surrounding traffic).
 //! Seed count scales with `SHARD_STRESS_SEEDS` (default 3; CI runs 100).
+//! Each round opens with a forced race on one key (all writers read its
+//! version, meet at a barrier, then swap), so contention never depends on
+//! the scheduler.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Barrier, Mutex};
 
 use simdht_kvs::index::by_short_name;
 use simdht_kvs::store::{CasOutcome, KvStore, ReadMode, StoreConfig};
@@ -80,12 +83,37 @@ fn run_round(which: &str, mode: ReadMode, seed: u64) {
     // Every win recorded as key -> {version -> writer}; the mutex is
     // outside the contended path (winners only).
     let wins: Mutex<HashMap<usize, HashMap<u64, usize>>> = Mutex::new(HashMap::new());
+    let barrier = Barrier::new(N_WRITERS);
 
     std::thread::scope(|s| {
         for w in 0..N_WRITERS {
             let store = &store;
             let wins = &wins;
+            let barrier = &barrier;
             s.spawn(move || {
+                // Forced race: every writer reads key 0's version, meets
+                // the others at the barrier, then swaps against what it
+                // read — so all present the same version, exactly one
+                // swap is stored and the other N-1 conflict, whatever the
+                // scheduler does with the random rounds below.
+                let (_, first) = store.get_v(&key(0)).expect("hot keys are never deleted");
+                barrier.wait();
+                match store.cas(&key(0), first, &winning_value(w, first + 1), 0) {
+                    Ok(CasOutcome::Stored(new_version)) => {
+                        assert_eq!(
+                            new_version,
+                            first + 1,
+                            "a successful swap lands at expected + 1"
+                        );
+                        let mut g = wins.lock().expect("wins lock");
+                        let prior = g.entry(0).or_default().insert(new_version, w);
+                        assert_eq!(prior, None, "two writers won key 0 version {new_version}");
+                    }
+                    Ok(CasOutcome::Conflict(at)) => {
+                        assert_ne!(at, first, "conflict at the matching version");
+                    }
+                    other => panic!("forced race on key 0: {other:?}"),
+                }
                 let mut rng = seed
                     .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                     .wrapping_add(w as u64 + 1);
