@@ -18,10 +18,11 @@
 //! The cuckoo table itself is the shared [`TagCuckoo`] core; this file is
 //! the bucket layout.
 
-use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use super::tagcuckoo::{BucketLayout, TagCuckoo};
 use crate::item::NO_ITEM;
+use crate::seqlock::SeqCount;
 
 const SLOTS: usize = 4;
 
@@ -40,19 +41,16 @@ pub type Memc3Index = TagCuckoo<Memc3Layout>;
 /// nothing non-atomic and nothing a writer could free.
 pub struct Memc3Layout {
     slots: Vec<AtomicU64>,
-    versions: Vec<AtomicU64>,
+    versions: Vec<SeqCount>,
 }
 
 impl Memc3Layout {
-    /// Store one slot word inside the bucket's version bump.
+    /// Store one slot word inside the bucket's version bump (the
+    /// [`SeqCount`] write discipline: odd bump, release fence, store, even
+    /// bump with release).
     fn set_slot(&mut self, bucket: usize, s: usize, word: u64) {
-        // Seqlock write-begin: the odd bump must be visible before the
-        // slot store that follows (relaxed RMW + release fence, as in
-        // `seqlock::SeqCount::begin_write`).
-        self.versions[bucket].fetch_add(1, Ordering::Relaxed);
-        fence(Ordering::Release);
+        let _write = self.versions[bucket].begin_write();
         self.slots[bucket * SLOTS + s].store(word, Ordering::Relaxed);
-        self.versions[bucket].fetch_add(1, Ordering::Release);
     }
 }
 
@@ -65,10 +63,11 @@ impl BucketLayout for Memc3Layout {
     type Row = [u64; SLOTS];
 
     fn with_buckets(buckets: usize) -> Self {
-        let words = |n, w| (0..n).map(|_| AtomicU64::new(w)).collect();
         Memc3Layout {
-            slots: words(buckets * SLOTS, EMPTY_SLOT),
-            versions: words(buckets, 0),
+            slots: (0..buckets * SLOTS)
+                .map(|_| AtomicU64::new(EMPTY_SLOT))
+                .collect(),
+            versions: (0..buckets).map(|_| SeqCount::new()).collect(),
         }
     }
 
@@ -87,16 +86,11 @@ impl BucketLayout for Memc3Layout {
     #[inline(always)]
     fn load_row(&self, bucket: usize) -> Self::Row {
         loop {
-            let v1 = self.versions[bucket].load(Ordering::Acquire);
-            if v1 & 1 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            let row = self.own_row(bucket);
-            fence(Ordering::Acquire);
-            let v2 = self.versions[bucket].load(Ordering::Relaxed);
-            if v1 == v2 {
-                return row;
+            if let Some(v) = self.versions[bucket].read_begin() {
+                let row = self.own_row(bucket);
+                if self.versions[bucket].validate(v) {
+                    return row;
+                }
             }
         }
     }
