@@ -6,7 +6,7 @@
 //! or into a short run of 32-bit lanes (the `CuckooTable` key row). Probing
 //! such a row is a single SSE compare + movemask; the same scan also answers
 //! "where is the first empty slot?" on the insert path, replacing the scalar
-//! slot walk every index used to run (ROADMAP item 3's remainder).
+//! slot walk every index used to run.
 //!
 //! All functions return a **slot bitmask** (bit `s` = slot `s`) so callers
 //! can take `trailing_zeros()` for a first-match walk that is bit-identical
