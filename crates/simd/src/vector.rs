@@ -200,9 +200,9 @@ pub trait Vector: Copy + Send + Sync + 'static {
 /// hints" the paper's Observation ② asks for.
 ///
 /// Call sites form the KVS Multi-Get prefetch pipeline (simdht-kvs
-/// DESIGN.md §9): the scalar index probes issue it for candidate bucket
-/// rows G keys ahead (`Memc3Index`/`TagSimdIndex::lookup_batch_prefetched`
-/// via their `prefetch_buckets`), the SIMD tables sweep it over a batch's
+/// DESIGN.md §9): the tagged index probes issue it for candidate bucket
+/// rows G keys ahead (`HashIndex::lookup_batch_prefetched` via
+/// `prefetch_hash`), the SIMD tables sweep it over a batch's
 /// candidate buckets (`CuckooTable::prefetch_candidates`), and the verify
 /// phase stages it through `ItemTable::prefetch` (object-pointer rows) and
 /// `SlabAllocator::prefetch` (item chunk headers). It is always a hint:
